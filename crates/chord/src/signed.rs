@@ -53,7 +53,7 @@ impl std::fmt::Display for SignedTableError {
 impl std::error::Error for SignedTableError {}
 
 fn signing_bytes(table: &RoutingTable, timestamp: u64) -> Vec<u8> {
-    let mut bytes = table.encode();
+    let mut bytes = table.encode_with_spare(8);
     bytes.extend_from_slice(&timestamp.to_be_bytes());
     bytes
 }

@@ -109,9 +109,16 @@ impl RoutingTable {
     /// Canonical byte encoding, the content covered by table signatures.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            8 * (2 + self.fingers.len() + self.successors.len() + self.predecessors.len()),
-        );
+        self.encode_with_spare(0)
+    }
+
+    /// [`RoutingTable::encode`] into a buffer sized for the encoding
+    /// plus `spare` bytes the caller appends (the signed timestamp), so
+    /// neither write reallocates.
+    pub(crate) fn encode_with_spare(&self, spare: usize) -> Vec<u8> {
+        // owner, then per list a 1-byte tag, a 4-byte length and 8-byte ids
+        let entries = self.fingers.len() + self.successors.len() + self.predecessors.len();
+        let mut out = Vec::with_capacity(8 + 3 * 5 + 8 * entries + spare);
         out.extend_from_slice(&self.owner.0.to_be_bytes());
         for (tag, list) in [
             (0u8, &self.fingers),
@@ -194,6 +201,16 @@ mod tests {
         assert_eq!(back, t);
         // signature stability: re-encoding the decode is byte-identical
         assert_eq!(back.encode(), bytes);
+    }
+
+    #[test]
+    fn encode_buffer_sized_exactly() {
+        for t in [RoutingTable::empty(NodeId(1)), table()] {
+            let bytes = t.encode();
+            assert_eq!(bytes.capacity(), bytes.len());
+            let signed = t.encode_with_spare(8);
+            assert_eq!(signed.capacity(), bytes.len() + 8);
+        }
     }
 
     #[test]

@@ -174,15 +174,6 @@ impl CaNode {
         ctx.now().as_secs_f64() as u64
     }
 
-    /// Did `id` join or die within `window` of instant `t` (either
-    /// side)? Used to excuse inconsistencies in statements signed near a
-    /// churn event.
-    #[allow(dead_code)] // retained for stricter adjudication experiments
-    fn churned_near(&self, id: NodeId, t: u64, window: u64) -> bool {
-        let near = |ev: Option<&u64>| ev.is_some_and(|&e| e.abs_diff(t) <= window);
-        near(self.join_times.get(&id)) || near(self.death_times.get(&id))
-    }
-
     /// "Recently churned" — joined or died within the excuse window.
     fn recently_churned(&self, id: NodeId, now: u64, window: u64) -> bool {
         let joined = self
@@ -585,24 +576,32 @@ impl CaNode {
         // ever *moves* the accusation to its signer — it never silently
         // exonerates.
         let slack = self.cfg.stabilize_every.as_secs_f64() as u64 + 1;
-        let relevant: Vec<&SignedSuccessorList> = proofs
+        let contemporaneous = |p: &SignedSuccessorList| {
+            p.owner() != accused
+                && p.timestamp <= accused_list.timestamp + slack
+                && accused_list.timestamp.saturating_sub(p.timestamp) <= window * 2
+        };
+        let justifies = |p: &SignedSuccessorList| {
+            !stabilize::merge_successor_list(accused, p.owner(), &p.table.successors, k)
+                .contains(&omitted)
+        };
+        // Signatures are checked on demand, in reply order, and only for
+        // proofs the cheap predicates leave in play — yet every proof
+        // that decides the verdict is verified: the first valid
+        // justifying proof chains; failing that, one valid
+        // non-justifying proof convicts; with no valid proof at all the
+        // case is dismissed.
+        let justifying = proofs
             .iter()
-            .filter(|p| {
-                self.verify_signed_list(p, now)
-                    && p.owner() != accused
-                    && p.timestamp <= accused_list.timestamp + slack
-                    && accused_list.timestamp.saturating_sub(p.timestamp) <= window * 2
-            })
-            .collect();
-        if relevant.is_empty() {
+            .find(|p| contemporaneous(p) && justifies(p) && self.verify_signed_list(p, now));
+        if justifying.is_none()
+            && !proofs
+                .iter()
+                .any(|p| contemporaneous(p) && !justifies(p) && self.verify_signed_list(p, now))
+        {
             self.dismiss(ctx, category);
             return;
         }
-        let justifying = relevant.iter().copied().find(|p| {
-            let expect =
-                stabilize::merge_successor_list(accused, p.owner(), &p.table.successors, k);
-            !expect.contains(&omitted)
-        });
         match justifying {
             Some(p) => {
                 // the accused merged honestly; the misinformation came
@@ -664,7 +663,10 @@ impl CaNode {
                     return;
                 }
                 if std::env::var("OCTO_DEBUG").is_ok() {
-                    for p in &relevant {
+                    let relevant = proofs
+                        .iter()
+                        .filter(|p| contemporaneous(p) && self.verify_signed_list(p, now));
+                    for p in relevant {
                         let expect = stabilize::merge_successor_list(
                             accused,
                             p.owner(),
@@ -1013,6 +1015,186 @@ impl NodeBehavior for CaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use octopus_chord::signed::successor_list_table;
+    use octopus_chord::SignedRoutingTable;
+    use octopus_crypto::{Certificate, KeyPair};
+    use octopus_net::Ctx;
+    use octopus_sim::{Duration, SimTime};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Accused, omitted node and report time of the adjudication cases.
+    const ACCUSED: NodeId = NodeId(1000);
+    const OMITTED: NodeId = NodeId(3000);
+    const REPORTER: NodeId = NodeId(500);
+    const LIST_TS: u64 = 998;
+
+    /// A CA with registered, long-lived members, driven message by
+    /// message through the buffer-backed `Ctx`.
+    struct Court {
+        ca: CaNode,
+        members: BTreeMap<NodeId, (KeyPair, Certificate)>,
+        forger: KeyPair,
+    }
+
+    impl Court {
+        fn new() -> Self {
+            let mut rng = StdRng::seed_from_u64(41);
+            let authority = CertificateAuthority::new(&mut rng);
+            let mut ca = CaNode::new(NodeId(u64::MAX), authority, OctopusConfig::default());
+            let mut members = BTreeMap::new();
+            for id in [500, 1000, 2000, 2200, 2500, 3000, 4000, 5000, 6000].map(NodeId) {
+                let kp = KeyPair::generate(&mut rng);
+                let cert = ca.issue_cert(id, kp.public());
+                ca.register(id, kp.public());
+                ca.note_join(id, 0);
+                members.insert(id, (kp, cert));
+            }
+            let forger = KeyPair::generate(&mut rng);
+            Court {
+                ca,
+                members,
+                forger,
+            }
+        }
+
+        /// `owner`'s signed successor list at `ts`.
+        fn signed(&self, owner: NodeId, succ: &[u64], ts: u64) -> SignedSuccessorList {
+            let (kp, cert) = &self.members[&owner];
+            let table = successor_list_table(owner, succ.iter().copied().map(NodeId).collect());
+            SignedRoutingTable::sign(table, ts, kp, *cert)
+        }
+
+        /// A list carrying `owner`'s certificate but signed with a key
+        /// that certificate does not bind.
+        fn forged(&self, owner: NodeId, succ: &[u64], ts: u64) -> SignedSuccessorList {
+            let cert = self.members[&owner].1;
+            let table = successor_list_table(owner, succ.iter().copied().map(NodeId).collect());
+            SignedRoutingTable::sign(table, ts, &self.forger, cert)
+        }
+
+        fn deliver(
+            &mut self,
+            now_s: u64,
+            from: NodeId,
+            msg: Msg,
+        ) -> (Vec<(Addr, Msg, Duration)>, Vec<Verdict>) {
+            let mut rng = StdRng::seed_from_u64(0);
+            let (mut outbox, mut timers, mut controls) = (Vec::new(), Vec::new(), Vec::new());
+            let mut ctx = Ctx::from_parts(
+                SimTime::from_secs(now_s),
+                self.ca.addr,
+                &mut rng,
+                &mut outbox,
+                &mut timers,
+                &mut controls,
+            );
+            self.ca.on_message(&mut ctx, from, msg);
+            let verdicts = controls
+                .into_iter()
+                .filter_map(|c| match c {
+                    Control::Verdict { verdict, .. } => Some(verdict),
+                    _ => None,
+                })
+                .collect();
+            (outbox, verdicts)
+        }
+
+        /// Report that `ACCUSED`'s list spans past `OMITTED` without it,
+        /// then answer the CA's proof request with `proofs`. Returns the
+        /// CA's reaction to the proof reply.
+        fn adjudicate(
+            &mut self,
+            proofs: Vec<SignedSuccessorList>,
+        ) -> (Vec<(Addr, Msg, Duration)>, Vec<Verdict>) {
+            let accused_list = self.signed(ACCUSED, &[2000, 4000, 5000], LIST_TS);
+            let report = Report::ListOmission {
+                reporter: REPORTER,
+                reporter_cert: self.members[&REPORTER].1,
+                omitted: OMITTED,
+                accused_list: Box::new(accused_list.clone()),
+            };
+            let (out, verdicts) = self.deliver(1000, REPORTER, Msg::Report(Box::new(report)));
+            assert!(verdicts.is_empty());
+            let case = match out.as_slice() {
+                [(to, Msg::CaProofRequest { case }, _)] if *to == ACCUSED => *case,
+                other => panic!("expected one proof request to the accused, got {other:?}"),
+            };
+            let reply = Msg::CaProofReply {
+                case,
+                own_list: Box::new(accused_list),
+                proofs,
+            };
+            self.deliver(1001, ACCUSED, reply)
+        }
+    }
+
+    /// A proof from 2000 whose merge omits 3000: it justifies the
+    /// accused's omission and spans past 3000 itself.
+    const JUSTIFYING: [u64; 3] = [4000, 5000, 6000];
+    /// A proof from 2200 that lists 3000: the accused knew of it.
+    const DAMNING: [u64; 3] = [3000, 4000, 5000];
+
+    #[test]
+    fn forged_justifying_proof_ahead_of_valid_one_chains_to_valid_signer() {
+        let mut court = Court::new();
+        let proofs = vec![
+            court.forged(NodeId(2500), &JUSTIFYING, LIST_TS - 1),
+            court.signed(NodeId(2000), &JUSTIFYING, LIST_TS - 1),
+        ];
+        let (out, verdicts) = court.adjudicate(proofs);
+        assert!(verdicts.is_empty(), "{verdicts:?}");
+        match out.as_slice() {
+            [(to, Msg::CaProofRequest { .. }, _)] => assert_eq!(*to, NodeId(2000)),
+            other => panic!("expected the chain to move to 2000, got {other:?}"),
+        }
+        assert!(court.ca.revoked.is_empty());
+    }
+
+    #[test]
+    fn invalid_only_proofs_dismiss() {
+        let mut court = Court::new();
+        let proofs = vec![
+            court.forged(NodeId(2000), &JUSTIFYING, LIST_TS - 1),
+            court.forged(NodeId(2200), &DAMNING, LIST_TS - 1),
+        ];
+        let (out, verdicts) = court.adjudicate(proofs);
+        assert_eq!(verdicts, vec![Verdict::Dismissed]);
+        assert!(out.is_empty(), "{out:?}");
+        assert!(court.ca.revoked.is_empty());
+    }
+
+    #[test]
+    fn valid_damning_proof_with_forged_justification_revokes() {
+        let mut court = Court::new();
+        let proofs = vec![
+            court.forged(NodeId(2000), &JUSTIFYING, LIST_TS - 1),
+            court.signed(NodeId(2200), &DAMNING, LIST_TS - 1),
+        ];
+        let (_, verdicts) = court.adjudicate(proofs);
+        assert_eq!(verdicts, vec![Verdict::Revoked(ACCUSED)]);
+        assert_eq!(court.ca.revoked, vec![ACCUSED]);
+    }
+
+    #[test]
+    fn out_of_window_valid_proof_is_ignored() {
+        let mut court = Court::new();
+        // window = 3·2 s + 10 s + 2 s = 18 s: older than 2·18 s before
+        // the list, or newer than one stabilization period (+1 s) after
+        let proofs = vec![
+            court.signed(NodeId(2000), &JUSTIFYING, LIST_TS - 37),
+            court.signed(NodeId(2000), &JUSTIFYING, LIST_TS + 4),
+            court.signed(NodeId(2200), &DAMNING, LIST_TS - 1),
+        ];
+        let (_, verdicts) = court.adjudicate(proofs);
+        assert_eq!(verdicts, vec![Verdict::Revoked(ACCUSED)]);
+        // alone, the same stale justification dismisses rather than chains
+        let mut court = Court::new();
+        let proofs = vec![court.signed(NodeId(2000), &JUSTIFYING, LIST_TS - 37)];
+        let (out, verdicts) = court.adjudicate(proofs);
+        assert_eq!(verdicts, vec![Verdict::Dismissed]);
+        assert!(out.is_empty(), "{out:?}");
+    }
 
     #[test]
     fn list_consistent_exact_merge() {

@@ -88,18 +88,15 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                Self::compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            Self::compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
+        rest = blocks.remainder();
         if !rest.is_empty() {
             self.buf[..rest.len()].copy_from_slice(rest);
             self.buf_len = rest.len();
@@ -116,16 +113,18 @@ impl Sha256 {
     /// Finish and produce the digest.
     #[must_use]
     pub fn finalize(mut self) -> Digest {
+        // padding: 0x80 then zeros until 56 mod 64, then the 8-byte
+        // big-endian bit length; a tail past 55 bytes spills into a
+        // second block
         let bit_len = self.total_len.wrapping_mul(8);
-        // padding: 0x80 then zeros until 56 mod 64, then 8-byte big-endian length
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            Self::compress(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
         }
-        // update() would count the length bytes; splice them in manually
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        Self::compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
@@ -133,7 +132,7 @@ impl Sha256 {
         Digest(out)
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
@@ -146,7 +145,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -167,14 +166,14 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
 }
 
@@ -248,6 +247,22 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), d1, "length {n}");
+        }
+    }
+
+    /// Every message length from 0 to 130 bytes: one- and two-block
+    /// padding, every split of the length field across the boundary,
+    /// and a third block.
+    #[test]
+    fn lengths_0_to_130_match_hashlib() {
+        let kat: Vec<&str> = include_str!("../testdata/sha256_lengths.txt")
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .collect();
+        assert_eq!(kat.len(), 131);
+        for (n, want) in kat.into_iter().enumerate() {
+            let msg: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
+            assert_eq!(sha256(&msg).to_hex(), want, "length {n}");
         }
     }
 
