@@ -43,15 +43,21 @@ impl fmt::Debug for Certificate {
 }
 
 impl Certificate {
-    /// Canonical byte encoding signed by the CA.
+    /// Canonical byte encoding signed by the CA: id, address, key
+    /// modulus, key exponent and expiry, each big-endian.
     #[must_use]
-    pub fn signed_bytes(node_id: NodeId, address: u32, key: PublicKey, expires_at: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 4 + 16 + 8);
-        out.extend_from_slice(&node_id.0.to_be_bytes());
-        out.extend_from_slice(&address.to_be_bytes());
-        out.extend_from_slice(&key.n.to_be_bytes());
-        out.extend_from_slice(&key.e.to_be_bytes());
-        out.extend_from_slice(&expires_at.to_be_bytes());
+    pub fn signed_bytes(
+        node_id: NodeId,
+        address: u32,
+        key: PublicKey,
+        expires_at: u64,
+    ) -> [u8; 36] {
+        let mut out = [0u8; 36];
+        out[..8].copy_from_slice(&node_id.0.to_be_bytes());
+        out[8..12].copy_from_slice(&address.to_be_bytes());
+        out[12..20].copy_from_slice(&key.n.to_be_bytes());
+        out[20..28].copy_from_slice(&key.e.to_be_bytes());
+        out[28..].copy_from_slice(&expires_at.to_be_bytes());
         out
     }
 
@@ -260,6 +266,25 @@ mod tests {
         let cert = ca.issue(NodeId(42), 0x0a000001, kp.public(), 10_000);
         assert!(ca.check(&cert, 500).is_ok());
         assert_eq!(ca.issued_count(), 1);
+    }
+
+    #[test]
+    fn signed_bytes_layout() {
+        let key = PublicKey {
+            n: 0x1112_1314_1516_1718,
+            e: 0x2122_2324_2526_2728,
+        };
+        let bytes = Certificate::signed_bytes(
+            NodeId(0x0102_0304_0506_0708),
+            0x0a0b_0c0d,
+            key,
+            0x3132_3334_3536_3738,
+        );
+        let mut want = vec![1, 2, 3, 4, 5, 6, 7, 8, 0x0a, 0x0b, 0x0c, 0x0d];
+        for hi in [0x10u8, 0x20, 0x30] {
+            want.extend((1..=8).map(|lo| hi + lo));
+        }
+        assert_eq!(bytes[..], want[..]);
     }
 
     #[test]

@@ -18,15 +18,19 @@
 //! 3. **A hash** mapping certificates to ring positions and keys to the
 //!    key space ([`sha256`](mod@sha256)).
 //!
-//! Everything here is `#![forbid(unsafe_code)]`, dependency-free (beyond
-//! `rand` for keygen), and test-vectored where vectors exist (SHA-256,
-//! HMAC).
+//! Everything here is dependency-free (beyond `rand` for keygen) and
+//! test-vectored where vectors exist (SHA-256, HMAC). The crate denies
+//! unsafe code and allows it in one audited module: the SHA-NI
+//! compression kernel inside [`sha256`](mod@sha256), which runs only
+//! after a runtime check finds the SHA and SSE4.1 instructions on the
+//! CPU. Elsewhere the portable compressor runs, and it is the oracle
+//! the tests hold the kernel to.
 //!
 //! **Do not use this crate for real-world security** — the RSA modulus is
 //! 64 bits and the cipher is home-grown. It exists so the reproduced
 //! protocols exercise true sign/verify/encrypt code paths.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cert;

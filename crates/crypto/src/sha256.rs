@@ -29,6 +29,15 @@ impl fmt::Display for Digest {
 }
 
 impl Digest {
+    /// The big-endian bytes of a final hash state.
+    fn from_state(state: &[u32; 8]) -> Digest {
+        let mut out = [0u8; 32];
+        for (i, w) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        Digest(out)
+    }
+
     /// Digest as a hex string.
     #[must_use]
     pub fn to_hex(&self) -> String {
@@ -88,15 +97,13 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                Self::compress(&mut self.state, &self.buf);
+                compress_blocks(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        let mut blocks = rest.chunks_exact(64);
-        for block in &mut blocks {
-            Self::compress(&mut self.state, block.try_into().expect("64-byte chunk"));
-        }
-        rest = blocks.remainder();
+        let whole = rest.len() - rest.len() % 64;
+        compress_blocks(&mut self.state, &rest[..whole]);
+        rest = &rest[whole..];
         if !rest.is_empty() {
             self.buf[..rest.len()].copy_from_slice(rest);
             self.buf_len = rest.len();
@@ -117,19 +124,13 @@ impl Sha256 {
         // big-endian bit length; a tail past 55 bytes spills into a
         // second block
         let bit_len = self.total_len.wrapping_mul(8);
-        self.buf[self.buf_len] = 0x80;
-        self.buf[self.buf_len + 1..].fill(0);
-        if self.buf_len >= 56 {
-            Self::compress(&mut self.state, &self.buf);
-            self.buf = [0u8; 64];
-        }
-        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
-        Self::compress(&mut self.state, &self.buf);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        Digest(out)
+        let mut tail = [0u8; 128];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len] = 0x80;
+        let end = if self.buf_len >= 56 { 128 } else { 64 };
+        tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &tail[..end]);
+        Digest::from_state(&self.state)
     }
 
     fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
@@ -177,6 +178,125 @@ impl Sha256 {
     }
 }
 
+/// Compress `blocks` (a whole number of 64-byte blocks) into `state`:
+/// with the SHA-NI kernel when the CPU has it, else with the portable
+/// [`Sha256::compress`]. Both give the same state for every input.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    #[cfg(target_arch = "x86_64")]
+    if shani::try_compress(state, blocks) {
+        return;
+    }
+    for block in blocks.chunks_exact(64) {
+        Sha256::compress(state, block.try_into().expect("64-byte chunk"));
+    }
+}
+
+/// The SHA-256 compression function on the x86 SHA extensions — the
+/// crate's only unsafe code. It runs only after a runtime check has
+/// found the instructions on this CPU; the portable compressor stays
+/// the reference the tests hold it to.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod shani {
+    use std::arch::x86_64::{
+        _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    use super::K;
+
+    /// Whether this CPU runs the kernel (the answer is cached by std).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compress `blocks` into `state` and return true when this CPU has
+    /// the SHA extensions; otherwise leave `state` alone and return false.
+    pub(super) fn try_compress(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        if !available() {
+            return false;
+        }
+        // SAFETY: `available()` just found SHA and SSE4.1 on this CPU at
+        // run time; SSE2 is part of x86_64 and every SSE4.1 CPU has SSSE3
+        // (the target feature `sse4.1` implies `ssse3`).
+        unsafe { compress(state, blocks) };
+        true
+    }
+
+    /// The kernel: four rounds per `sha256rnds2` pair, the message
+    /// schedule from `sha256msg1`/`sha256msg2`.
+    ///
+    /// # Safety
+    /// The CPU must support SHA, SSE2, SSSE3 and SSE4.1. Every load and
+    /// store stays inside `state`, `K` or a 64-byte chunk of `blocks`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        // reverses the bytes of each 32-bit lane (big-endian words)
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // the round instruction takes the state as (a, b, e, f) and
+        // (c, d, g, h), highest lane first
+        let dcba = _mm_loadu_si128(state[..].as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state[4..].as_ptr().cast());
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+        // four rounds on schedule words `w` (round group `i`)
+        macro_rules! rounds4 {
+            ($w:expr, $i:expr) => {
+                let wk = _mm_add_epi32($w, _mm_loadu_si128(K[4 * $i..].as_ptr().cast()));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+            };
+        }
+        // the next four schedule words from the last sixteen, oldest
+        // first: W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16]
+        macro_rules! schedule4 {
+            ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+                _mm_sha256msg2_epu32(
+                    _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4)),
+                    $w3,
+                )
+            };
+        }
+        for block in blocks.chunks_exact(64) {
+            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(block[..].as_ptr().cast()), bswap);
+            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(block[16..].as_ptr().cast()), bswap);
+            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(block[32..].as_ptr().cast()), bswap);
+            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(block[48..].as_ptr().cast()), bswap);
+            let (abef0, cdgh0) = (abef, cdgh);
+            rounds4!(w0, 0);
+            rounds4!(w1, 1);
+            rounds4!(w2, 2);
+            rounds4!(w3, 3);
+            for g in [4, 8, 12] {
+                w0 = schedule4!(w0, w1, w2, w3);
+                rounds4!(w0, g);
+                w1 = schedule4!(w1, w2, w3, w0);
+                rounds4!(w1, g + 1);
+                w2 = schedule4!(w2, w3, w0, w1);
+                rounds4!(w2, g + 2);
+                w3 = schedule4!(w3, w0, w1, w2);
+                rounds4!(w3, g + 3);
+            }
+            abef = _mm_add_epi32(abef, abef0);
+            cdgh = _mm_add_epi32(cdgh, cdgh0);
+        }
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        _mm_storeu_si128(
+            state[..].as_mut_ptr().cast(),
+            _mm_blend_epi16(feba, dchg, 0xF0),
+        );
+        _mm_storeu_si128(
+            state[4..].as_mut_ptr().cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
+    }
+}
+
 /// One-shot SHA-256.
 #[must_use]
 pub fn sha256(data: &[u8]) -> Digest {
@@ -185,6 +305,9 @@ pub fn sha256(data: &[u8]) -> Digest {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     // FIPS 180-4 / NIST test vectors.
@@ -250,19 +373,109 @@ mod tests {
         }
     }
 
-    /// Every message length from 0 to 130 bytes: one- and two-block
-    /// padding, every split of the length field across the boundary,
-    /// and a third block.
-    #[test]
-    fn lengths_0_to_130_match_hashlib() {
+    /// Hex digests of m_n[i] = (31i + 7) mod 256 for n = 0..=130, from
+    /// Python's `hashlib`.
+    fn hashlib_lengths() -> Vec<(Vec<u8>, &'static str)> {
         let kat: Vec<&str> = include_str!("../testdata/sha256_lengths.txt")
             .lines()
             .filter(|l| !l.starts_with('#'))
             .collect();
         assert_eq!(kat.len(), 131);
-        for (n, want) in kat.into_iter().enumerate() {
-            let msg: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
-            assert_eq!(sha256(&msg).to_hex(), want, "length {n}");
+        kat.into_iter()
+            .enumerate()
+            .map(|(n, want)| ((0..n).map(|i| (i * 31 + 7) as u8).collect(), want))
+            .collect()
+    }
+
+    /// SHA-256 on the portable compressor alone, with its own padding:
+    /// the oracle for the dispatched path.
+    fn portable_sha256(msg: &[u8]) -> Digest {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            Sha256::compress(&mut state, block.try_into().unwrap());
+        }
+        Digest::from_state(&state)
+    }
+
+    /// Every message length from 0 to 130 bytes: one- and two-block
+    /// padding, every split of the length field across the boundary,
+    /// and a third block.
+    #[test]
+    fn lengths_0_to_130_match_hashlib() {
+        for (msg, want) in hashlib_lengths() {
+            assert_eq!(sha256(&msg).to_hex(), want, "length {}", msg.len());
+        }
+    }
+
+    #[test]
+    fn lengths_0_to_130_match_hashlib_on_portable_path() {
+        for (msg, want) in hashlib_lengths() {
+            assert_eq!(portable_sha256(&msg).to_hex(), want, "length {}", msg.len());
+        }
+    }
+
+    /// The dispatched compressor (the SHA-NI kernel on a CPU that has
+    /// it) against the portable one, on seeded random states and runs of
+    /// one to four blocks.
+    #[test]
+    fn dispatch_matches_portable_compressor() {
+        let mut rng = StdRng::seed_from_u64(0x7368_616e);
+        for _ in 0..20_000 {
+            let state: [u32; 8] = rng.gen();
+            let mut blocks = vec![0u8; 64 * rng.gen_range(1..=4usize)];
+            rng.fill(&mut blocks[..]);
+            let mut want = state;
+            for block in blocks.chunks_exact(64) {
+                Sha256::compress(&mut want, block.try_into().unwrap());
+            }
+            let mut got = state;
+            compress_blocks(&mut got, &blocks);
+            assert_eq!(got, want, "state {state:08x?}, blocks {blocks:02x?}");
+        }
+    }
+
+    /// The kernel runs exactly when the CPU check passes, and otherwise
+    /// leaves the state for the portable path.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn kernel_runs_exactly_when_detected() {
+        let block: Vec<u8> = (0..64u8).collect();
+        let mut want = H0;
+        Sha256::compress(&mut want, block[..].try_into().unwrap());
+        let mut got = H0;
+        let ran = shani::try_compress(&mut got, &block);
+        assert_eq!(ran, shani::available());
+        assert_eq!(got, if ran { want } else { H0 });
+    }
+
+    /// One message fed through `update` at random split points equals
+    /// the one-shot digest, and both equal the portable oracle.
+    #[test]
+    fn random_splits_equal_oneshot() {
+        let mut rng = StdRng::seed_from_u64(0x7370_6c74);
+        let mut msg = vec![0u8; 1000];
+        rng.fill(&mut msg[..]);
+        let want = sha256(&msg);
+        assert_eq!(want, portable_sha256(&msg));
+        for _ in 0..500 {
+            let mut cuts: Vec<usize> = (0..rng.gen_range(0..8))
+                .map(|_| rng.gen_range(0..=msg.len()))
+                .collect();
+            cuts.push(msg.len());
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut at = 0;
+            for cut in &cuts {
+                h.update(&msg[at..*cut]);
+                at = *cut;
+            }
+            assert_eq!(h.finalize(), want, "cuts {cuts:?}");
         }
     }
 
